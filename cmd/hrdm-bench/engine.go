@@ -846,9 +846,11 @@ func benchParallelSpeedup(doc *benchFile, n, refN int) {
 			}
 			var base int64
 			for _, w := range degrees {
-				ctxw := engine.WithWorkers(context.Background(), w)
+				// One DB per degree over the same store: the degree binds
+				// at pin time, so every degree runs the one cached plan.
+				wsess := engine.OpenDBOptions(st, engine.DBOptions{Workers: w}).NewSession()
 				rows := 0
-				if res, err := sess.Eval(ctxw, e); err != nil {
+				if res, err := wsess.Eval(context.Background(), e); err != nil {
 					panic(fmt.Sprintf("run %q at w=%d: %v", o.query, w, err))
 				} else if res.Relation != nil {
 					rows = res.Relation.Cardinality()
@@ -856,7 +858,7 @@ func benchParallelSpeedup(doc *benchFile, n, refN int) {
 				br := testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := sess.Eval(ctxw, e); err != nil {
+						if _, err := wsess.Eval(context.Background(), e); err != nil {
 							b.Fatal(err)
 						}
 					}

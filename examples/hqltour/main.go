@@ -54,7 +54,11 @@ func main() {
 	}
 	for i, qc := range queries {
 		fmt.Printf("-- %d. %s\nhrdm> %s\n", i+1, qc.caption, qc.q)
-		res, err := hql.Run(qc.q, st)
+		e, err := hql.Parse(qc.q)
+		if err != nil {
+			panic(fmt.Sprintf("query %d: %v", i+1, err))
+		}
+		res, err := hql.EvalNaive(e, st)
 		if err != nil {
 			panic(fmt.Sprintf("query %d failed: %v", i+1, err))
 		}

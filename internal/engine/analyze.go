@@ -31,31 +31,15 @@ type analysis struct {
 	res  hql.Result
 }
 
-// ExplainAnalyze parses, plans, executes and profiles a query,
-// returning the annotated plan rendering. When optimize is set the
-// Section 5 rewriter runs first, matching what Run would execute.
-func ExplainAnalyze(src string, env hql.Env, optimize bool) (string, error) {
-	return ExplainAnalyzeContext(context.Background(), src, env, optimize)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze under a context: the profiled
-// execution honors cancellation and deadlines exactly as RunContext
-// does, since EXPLAIN ANALYZE genuinely runs the query.
-func ExplainAnalyzeContext(ctx context.Context, src string, env hql.Env, optimize bool) (string, error) {
-	a, err := analyzeQuery(ctx, src, env, optimize)
-	if err != nil {
-		return "", err
-	}
-	return a.render(), nil
-}
-
-// analyzeQuery is the execution half of ExplainAnalyze. It mirrors the
-// engine's plan-then-pin discipline — optimistic retries, then the
-// exclusive fallback — so the profiled execution is the same
-// snapshot-verified execution Run performs. Expressions the planner
-// cannot compile surface their planning error: there is no naive
-// fallback to attribute per-operator numbers to.
-func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (*analysis, error) {
+// analyzeQuery is the execution half of Session.ExplainAnalyze; when
+// optimize is set the Section 5 rewriter runs first, matching what
+// Session.Query would execute. It mirrors the engine's plan-then-pin
+// discipline — optimistic retries, then the exclusive fallback — so
+// the profiled execution is the same snapshot-verified execution
+// runQuery performs, honoring cancellation and deadlines the same way.
+// Expressions the planner cannot compile surface their planning error:
+// there is no naive fallback to attribute per-operator numbers to.
+func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool, workers int) (*analysis, error) {
 	sp := obs.Begin()
 	e, err := hql.Parse(src)
 	if err != nil {
@@ -76,7 +60,7 @@ func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (
 			return nil, err
 		}
 		var pinned bool
-		if snap, pinned = pinPlan(ctx, p); pinned {
+		if snap, pinned = pinPlan(ctx, p, workers); pinned {
 			sp.Mark(obs.StagePin)
 			break
 		}
@@ -84,7 +68,7 @@ func analyzeQuery(ctx context.Context, src string, env hql.Env, optimize bool) (
 		mPinRetries.Inc()
 		if try+1 >= pinRetries {
 			mPinExclusive.Inc()
-			p, snap, err = pinPlanExclusive(ctx, func() (*Plan, error) { return PlanQuery(e, env) })
+			p, snap, err = pinPlanExclusive(ctx, workers, func() (*Plan, error) { return PlanQuery(e, env) })
 			sp.Mark(obs.StagePin)
 			if err != nil {
 				finishQuery(&sp, src, nil, nil, err)

@@ -38,9 +38,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{"analyze_equijoin_key_probe", `REF JOIN EMP ON RNAME = NAME`},
 		{"analyze_when_materialize", `WHEN (SELECT WHEN SAL = 30000 FROM EMP)`},
 	}
+	sess := OpenDB(st).NewSession()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			out, err := ExplainAnalyze(c.query, st, false)
+			out, err := sess.ExplainAnalyze(context.Background(), c.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +79,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 		`SELECT WHEN DEPT = 'Toys' FROM EMP`,
 		`REF JOIN EMP ON RNAME = NAME`,
 	} {
-		a, err := analyzeQuery(context.Background(), q, st, false)
+		a, err := analyzeQuery(context.Background(), q, st, false, testWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestAnalyzeAccounting(t *testing.T) {
 // two REF tuples against EMP's key map is exactly two lookups.
 func TestAnalyzeJoinLookups(t *testing.T) {
 	st := goldenStore(t)
-	a, err := analyzeQuery(context.Background(), `REF JOIN EMP ON RNAME = NAME`, st, false)
+	a, err := analyzeQuery(context.Background(), `REF JOIN EMP ON RNAME = NAME`, st, false, testWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

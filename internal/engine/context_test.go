@@ -101,7 +101,7 @@ func TestRunContextCanceledMidScan(t *testing.T) {
 	ctx := newFlipCtx(2)
 	// No equality conjunct → no index candidates: the plan is a full
 	// scan under a filter, so execution genuinely streams every tuple.
-	_, err := RunContext(ctx, `SELECT WHEN SAL > 0 FROM EMP`, st)
+	_, err := runQuery(ctx, `SELECT WHEN SAL > 0 FROM EMP`, st, testWorkers, false)
 	if err == nil {
 		t.Fatal("canceled query completed")
 	}
@@ -122,11 +122,11 @@ func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st := storage.NewStore()
-	if _, err := RunContext(ctx, `not even valid HQL`, st); !errors.Is(err, hrdmerr.ErrCanceled) {
-		t.Fatalf("pre-canceled RunContext error = %v, want ErrCanceled", err)
+	if _, err := runQuery(ctx, `not even valid HQL`, st, testWorkers, false); !errors.Is(err, hrdmerr.ErrCanceled) {
+		t.Fatalf("pre-canceled runQuery error = %v, want ErrCanceled", err)
 	}
-	if _, err := EvalContext(ctx, nil, st); !errors.Is(err, hrdmerr.ErrCanceled) {
-		t.Fatalf("pre-canceled EvalContext error = %v, want ErrCanceled", err)
+	if _, err := evalExpr(ctx, nil, st, testWorkers); !errors.Is(err, hrdmerr.ErrCanceled) {
+		t.Fatalf("pre-canceled evalExpr error = %v, want ErrCanceled", err)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestRunContextDeadline(t *testing.T) {
 	defer cancel()
 	st := storage.NewStore()
 	st.Put(workload.Personnel(workload.DefaultPersonnel()))
-	_, err := RunContext(ctx, `SELECT WHEN SAL = 30000 FROM EMP`, st)
+	_, err := runQuery(ctx, `SELECT WHEN SAL = 30000 FROM EMP`, st, testWorkers, false)
 	if !errors.Is(err, hrdmerr.ErrDeadline) {
 		t.Fatalf("expired-deadline error = %v, want ErrDeadline", err)
 	}
@@ -150,13 +150,13 @@ func TestRunBackgroundUnchanged(t *testing.T) {
 	st := storage.NewStore()
 	st.Put(workload.Personnel(workload.DefaultPersonnel()))
 	q := `SELECT WHEN SAL = 30000 FROM EMP`
-	r1, err := Run(q, st)
+	r1, err := run(q, st)
 	if err != nil {
-		t.Fatalf("first Run: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	r2, err := Run(q, st)
+	r2, err := run(q, st)
 	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
 	if r1.Relation == nil || r2.Relation == nil || !r1.Relation.Equal(r2.Relation) {
 		t.Fatal("cached re-run differs from first run")

@@ -124,7 +124,8 @@ func compareAll(t *testing.T, st *storage.Store, src string) bool {
 	nRes, nErr := hql.EvalNaiveContext(ctx, e, st)
 	var baseline string
 	for _, w := range diffWorkers {
-		gRes, gErr := engine.EvalContext(engine.WithWorkers(ctx, w), e, st)
+		sess := engine.OpenDBOptions(st, engine.DBOptions{Workers: w}).NewSession()
+		gRes, gErr := sess.Eval(ctx, e)
 		if (nErr != nil) != (gErr != nil) {
 			t.Fatalf("%q workers=%d: naive err=%v, engine err=%v", src, w, nErr, gErr)
 		}

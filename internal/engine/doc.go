@@ -17,9 +17,17 @@
 // rebuilding. Every query executes against a pinned epoch snapshot of
 // its relations (core.Pin), so multi-relation plans read one
 // consistent database state with zero locks on the scan path even
-// while writers publish. Importing the package installs the planner as
-// internal/hql's evaluation hook; equivalence with the naive evaluator
-// is property-tested over randomized workloads.
+// while writers publish.
+//
+// A query has one entry path: open a DB over a store (OpenDB or
+// OpenDBOptions, which also fixes the parallel degree) and run it
+// through a Session — Query, Eval, Explain or ExplainAnalyze. With the
+// optimizer on, Query parses, applies hql.Optimize and runs the
+// rewritten expression on Eval's path. hql.EvalNaive, the tree-walking
+// evaluator that defines the algebra's meaning, is the oracle the
+// planner is tested against (equivalence_test.go and the difftest
+// package, at every parallel degree) and the fallback for expressions
+// the planner cannot compile.
 //
 // The concurrency lifecycle — how plans, pins, write groups and the
 // plan cache interlock — is documented in docs/ARCHITECTURE.md; the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestPlanShapes(t *testing.T) {
 		{`TIMESLICE EMP AT {[-inf,+inf]}`, "time-slice at"},
 	}
 	for _, c := range cases {
-		out, err := Explain(c.query, st, false)
+		out, err := explainQuery(c.query, st, false)
 		if err != nil {
 			t.Fatalf("explain %q: %v", c.query, err)
 		}
@@ -42,25 +44,14 @@ func TestPlanShapes(t *testing.T) {
 	}
 }
 
-// TestPlannerHookInstalled verifies that importing the engine routes
-// hql.Run through the planner (the end-to-end wiring of the subsystem).
-func TestPlannerHookInstalled(t *testing.T) {
-	st := testStore(t, 5)
-	res, err := hql.Run(`SELECT WHEN NAME = 'emp0002' FROM EMP`, st)
-	if err != nil {
-		t.Fatalf("hql.Run through hook: %v", err)
-	}
-	e, err := hql.Parse(`SELECT WHEN NAME = 'emp0002' FROM EMP`)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	naive, err := hql.EvalNaive(e, st)
-	if err != nil {
-		t.Fatalf("naive: %v", err)
-	}
-	if !res.Relation.Equal(naive.Relation) {
-		t.Fatalf("hooked Run differs from naive")
-	}
+// testWorkers is the degree OpenDB gives a DB by default; the
+// in-package tests run the unexported query helpers at it, the way a
+// Session over a default DB does.
+var testWorkers = runtime.GOMAXPROCS(0)
+
+// run executes src as Session.Query does with the optimizer off.
+func run(src string, env hql.Env) (hql.Result, error) {
+	return runQuery(context.Background(), src, env, testWorkers, false)
 }
 
 // TestCatalogInvalidation checks that indexes rebuild when a relation

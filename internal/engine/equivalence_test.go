@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func compareQuery(t *testing.T, env hql.Env, q string) {
 		t.Fatalf("parse %q: %v", q, err)
 	}
 	nRes, nErr := hql.EvalNaive(e, env)
-	gRes, gErr := Eval(e, env)
+	gRes, gErr := evalExpr(context.Background(), e, env, testWorkers)
 	if (nErr != nil) != (gErr != nil) {
 		t.Fatalf("%q: naive err=%v, engine err=%v", q, nErr, gErr)
 	}
@@ -182,7 +183,7 @@ func TestEquivalenceRandomized(t *testing.T) {
 
 // TestEngineConcurrentQueries hammers one shared store from several
 // goroutines so `go test -race` exercises the catalog's lazy index
-// builds and the planner hook.
+// builds and the shared plan cache.
 func TestEngineConcurrentQueries(t *testing.T) {
 	st := testStore(t, 9)
 	queries := []string{
@@ -196,7 +197,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 20; i++ {
-				if _, err := Run(queries[(g+i)%len(queries)], st); err != nil {
+				if _, err := run(queries[(g+i)%len(queries)], st); err != nil {
 					done <- err
 					return
 				}

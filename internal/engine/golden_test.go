@@ -111,11 +111,11 @@ func TestExplainGolden(t *testing.T) {
 			// the prime run then yields exactly one miss before the hit.
 			ResetPlanCache()
 			if c.prime {
-				if _, err := Run(c.query, st); err != nil {
+				if _, err := run(c.query, st); err != nil {
 					t.Fatal(err)
 				}
 			}
-			out, err := Explain(c.query, st, false)
+			out, err := explainQuery(c.query, st, false)
 			if err != nil {
 				t.Fatal(err)
 			}

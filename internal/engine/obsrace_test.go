@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // TestObsCountersUnderRace hammers the metrics layer from the paths
-// that feed it concurrently — queries through engine.Run (cached and
+// that feed it concurrently — queries through runQuery (cached and
 // cold), writers publishing inserts, EXPLAIN ANALYZE runs — and then
 // checks the registry's books balance: every query is counted exactly
 // once in both engine.queries and the engine.query_total_ns histogram,
@@ -49,6 +50,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 		`TIMESLICE OBSREL AT {[0,5]}`,
 		`SELECT IF V > 4 FROM OBSREL`,
 	}
+	db := OpenDB(st)
 	var analyzed int64
 	var analyzedMu sync.Mutex
 	for w := 0; w < workers; w++ {
@@ -58,7 +60,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				q := queries[(w+i)%len(queries)]
 				if i%analyzeEvery == 0 {
-					if _, err := ExplainAnalyze(q, st, false); err != nil {
+					if _, err := db.NewSession().ExplainAnalyze(context.Background(), q); err != nil {
 						t.Errorf("analyze %s: %v", q, err)
 						return
 					}
@@ -67,7 +69,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 					analyzedMu.Unlock()
 					continue
 				}
-				if _, err := Run(q, st); err != nil {
+				if _, err := run(q, st); err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
 				}
@@ -81,7 +83,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 
 	after := obs.Default.Snapshot()
 	delta := after.CounterDelta(before)
-	wantQueries := uint64(workers * perWorker) // Run and ExplainAnalyze both land in finishQuery
+	wantQueries := uint64(workers * perWorker) // Query and ExplainAnalyze both land in finishQuery
 	if got := delta["engine.queries"]; got != wantQueries {
 		t.Fatalf("engine.queries delta = %d, want %d", got, wantQueries)
 	}
@@ -92,7 +94,7 @@ func TestObsCountersUnderRace(t *testing.T) {
 	if got := delta["engine.query_errors"]; got != 0 {
 		t.Fatalf("unexpected query errors: %d", got)
 	}
-	// Cached Run calls count one lookup each; cold paths may add an AST
+	// Cached run calls count one lookup each; cold paths may add an AST
 	// lookup after the raw-source miss, and ANALYZE never touches the
 	// cache — so hits+misses is bounded by, not equal to, the query
 	// count. Both counters must still have moved coherently.

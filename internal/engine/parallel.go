@@ -62,51 +62,6 @@ var parMetrics = struct {
 	busy:    obs.Default.Gauge("engine.parallel.busy_workers"),
 }
 
-// ---------------------------------------------------------------------
-// degree-of-parallelism plumbing
-
-// defaultWorkers is the process-wide degree of parallelism queries use
-// when their context does not carry an explicit setting. It starts at
-// GOMAXPROCS; `-workers` flags (CLI, server, bench) override it.
-var defaultWorkers atomic.Int32
-
-func init() { defaultWorkers.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetDefaultWorkers sets the process-wide default degree of
-// parallelism (clamped to ≥ 1) and returns the previous value.
-// Workers=1 disables parallel execution: plans keep their parallel
-// operators, which then run their partitions sequentially inline.
-func SetDefaultWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(defaultWorkers.Swap(int32(n)))
-}
-
-// DefaultWorkers reports the process-wide default degree.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// workersCtxKey carries a per-query degree override in a context.
-type workersCtxKey struct{}
-
-// WithWorkers returns a context whose queries execute parallel
-// operators with degree n (n < 1 means the package default). The
-// degree is an execution-time property of the snapshot, never part of
-// the plan, so sessions with different settings share cached plans.
-func WithWorkers(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, workersCtxKey{}, n)
-}
-
-// workersFrom resolves the degree a query pinned under ctx should use.
-func workersFrom(ctx context.Context) int {
-	if ctx != nil {
-		if n, ok := ctx.Value(workersCtxKey{}).(int); ok && n >= 1 {
-			return n
-		}
-	}
-	return DefaultWorkers()
-}
-
 // parallelMinInput gates planning a parallel operator: inputs below it
 // (tuples or candidates at plan time) keep the plain sequential node,
 // so small stores — unit-test fixtures, golden files, the CI bench

@@ -136,7 +136,7 @@ func TestPlanCacheSweepPerWriteGroup(t *testing.T) {
 		// Register the catalog observer (the sweep's delivery channel)
 		// and cache one plan fenced on this relation.
 		BuildIndexes(r)
-		if _, err := Run(fmt.Sprintf(`SELECT WHEN SAL = 100 FROM %s`, n), st); err != nil {
+		if _, err := run(fmt.Sprintf(`SELECT WHEN SAL = 100 FROM %s`, n), st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestPlanCacheSweepPerWriteGroup(t *testing.T) {
 	// Re-cache, then three independent inserts: three epochs, three
 	// sweeps — the uncoalesced baseline the group must beat.
 	for _, n := range names {
-		if _, err := Run(fmt.Sprintf(`SELECT WHEN SAL = 100 FROM %s`, n), st); err != nil {
+		if _, err := run(fmt.Sprintf(`SELECT WHEN SAL = 100 FROM %s`, n), st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 
 	st1 := swapStore(t, []string{"A", "B"}, 100)
 	q := `SELECT WHEN SAL = 200 FROM A`
-	res, err := Run(q, st1)
+	res, err := run(q, st1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 	b1, _ := st1.Get("B")
 	st2.Put(b1)
 	qb := `SELECT WHEN SAL = 100 FROM B`
-	if _, err := Run(qb, st1); err != nil { // cache a plan that survives
+	if _, err := run(qb, st1); err != nil { // cache a plan that survives
 		t.Fatal(err)
 	}
 
@@ -219,7 +219,7 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 	}
 
 	// The stale-plan read: the swapped store's A has SAL=200.
-	res, err = Run(q, st2)
+	res, err = run(q, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestInvalidateStalePlansOnSwap(t *testing.T) {
 
 	// The B-plan survived the swap and hits.
 	h0, _, _ := PlanCacheStats()
-	if _, err := Run(qb, st2); err != nil {
+	if _, err := run(qb, st2); err != nil {
 		t.Fatal(err)
 	}
 	if h1, _, _ := PlanCacheStats(); h1 != h0+1 {

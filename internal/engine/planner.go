@@ -161,9 +161,10 @@ func PlanQuery(e hql.Expr, env hql.Env) (*Plan, error) {
 
 // run executes the plan against the given pinned snapshot and wraps
 // the result in the query's sort. It is deliberately unexported: the
-// engine's entry points (Run, Eval, the hql hook) are the only
-// execution paths, and each pins a snapshot verified against the
-// plan's compile-time versions before running — there is no
+// engine's query paths (runQuery, evalExpr, analyzeQuery — all
+// reached through Session) are the only execution paths, and each
+// pins a snapshot verified against the plan's compile-time versions
+// before running — there is no
 // best-effort execute-without-verify path. The snapshot is nil only
 // for plan-time sub-query evaluation (evalLS), which runs under the
 // version fence the plan's deps record. sp, when non-nil, receives the

@@ -144,7 +144,7 @@ func TestPlanCache(t *testing.T) {
 	st := testStore(t, 77)
 	q := `SELECT WHEN SAL > 30000 DURING {[5,60]} FROM EMP`
 
-	res1, err := Run(q, st)
+	res1, err := run(q, st)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("cold run recorded no miss/entry (hits=%d misses=%d entries=%d)", h0, m0, n0)
 	}
 
-	res2, err := Run(q, st)
+	res2, err := run(q, st)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestPlanCache(t *testing.T) {
 	}
 
 	// A respaced spelling normalizes to the same source key.
-	if _, err := Run("SELECT   WHEN SAL > 30000	DURING {[5,60]}  FROM EMP", st); err != nil {
+	if _, err := run("SELECT   WHEN SAL > 30000	DURING {[5,60]}  FROM EMP", st); err != nil {
 		t.Fatalf("respaced run: %v", err)
 	}
 	h2, _, _ := PlanCacheStats()
@@ -180,7 +180,7 @@ func TestPlanCache(t *testing.T) {
 	if err := emp.Insert(empTuple(emp.Scheme(), "cachebuster", 10, 20, 99000, "Cache")); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	res3, err := Run(q, st)
+	res3, err := run(q, st)
 	if err != nil {
 		t.Fatalf("post-insert run: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestPlanCache(t *testing.T) {
 	// A different store under the same relation names must not be served
 	// the first store's plan (relation pointers differ).
 	st2 := testStore(t, 78)
-	res4, err := Run(q, st2)
+	res4, err := run(q, st2)
 	if err != nil {
 		t.Fatalf("second store: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestPlanCacheSweepsStaleEntries(t *testing.T) {
 	ResetPlanCache()
 	defer ResetPlanCache()
 	st := testStore(t, 41)
-	if _, err := Run(`TIMESLICE EMP AT {[0,9]}`, st); err != nil {
+	if _, err := run(`TIMESLICE EMP AT {[0,9]}`, st); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
 	if _, _, n := PlanCacheStats(); n != 1 {
@@ -231,7 +231,7 @@ func TestPlanCacheSweepsStaleEntries(t *testing.T) {
 		t.Fatalf("insert: %v", err)
 	}
 	// Compiling an unrelated query sweeps the now-unreachable entry.
-	if _, err := Run(`SELECT WHEN GRP = 'A' FROM REF`, st); err != nil {
+	if _, err := run(`SELECT WHEN GRP = 'A' FROM REF`, st); err != nil {
 		t.Fatalf("second query: %v", err)
 	}
 	if _, _, n := PlanCacheStats(); n != 1 {
@@ -246,7 +246,7 @@ func TestExplainStatsAndCacheStatus(t *testing.T) {
 	defer ResetPlanCache()
 	st := testStore(t, 12)
 	q := `SELECT WHEN DEPT = 'Toys' FROM EMP`
-	out, err := Explain(q, st, false)
+	out, err := explainQuery(q, st, false)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
@@ -255,10 +255,10 @@ func TestExplainStatsAndCacheStatus(t *testing.T) {
 			t.Errorf("explain lacks %q:\n%s", want, out)
 		}
 	}
-	if _, err := Run(q, st); err != nil {
+	if _, err := run(q, st); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	out, err = Explain(q, st, false)
+	out, err = explainQuery(q, st, false)
 	if err != nil {
 		t.Fatalf("explain after run: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestTinyRelationTimeslice(t *testing.T) {
 	}
 	st := storage.NewStore()
 	st.Put(r)
-	out, err := Explain(`TIMESLICE TINY AT {[0,5]}`, st, false)
+	out, err := explainQuery(`TIMESLICE TINY AT {[0,5]}`, st, false)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestSetOpEstimateBounds(t *testing.T) {
 		{`EMP INTERSECTMERGE EMP`, fmt.Sprintf("intersectmerge (naive)  [rows≈%d ", n)},
 		{`EMP MINUSMERGE EMP`, fmt.Sprintf("minusmerge (naive)  [rows≈%d ", n)},
 	} {
-		out, err := Explain(c.q, st, false)
+		out, err := explainQuery(c.q, st, false)
 		if err != nil {
 			t.Fatalf("explain %q: %v", c.q, err)
 		}
@@ -343,7 +343,7 @@ func TestEngineConcurrentReadWrite(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := Run(queries[(g+i)%len(queries)], st); err != nil {
+				if _, err := run(queries[(g+i)%len(queries)], st); err != nil {
 					errs <- fmt.Errorf("reader %d: %w", g, err)
 					return
 				}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -15,17 +16,17 @@ import (
 // plus shared lifecycle (checkpoint, close). It replaces the old idiom
 // of passing a bare *storage.Store (or any hql.Env) around cmd/ code:
 // every entry point — CLI shell, benchmark harness, server — opens a DB
-// once and creates one Session per client/loop from it. The process-
-// wide pieces (planner hook, plan cache, metrics registry) stay shared
-// underneath, which is exactly what a multi-session server wants: two
-// sessions issuing the same query share one cached plan.
+// once and creates one Session per client/loop from it. Sessions are
+// the only way to run a planned query. The process-wide pieces (plan
+// cache, metrics registry) stay shared underneath, which is exactly
+// what a multi-session server wants: two sessions issuing the same
+// query share one cached plan.
 //
 // DB methods are safe for concurrent use.
 type DB struct {
 	store *storage.Store
-	// workers, when ≥ 1, is the degree of parallelism every session of
-	// this DB executes parallel plan operators with; 0 defers to the
-	// process default (SetDefaultWorkers / GOMAXPROCS).
+	// workers is the degree of parallelism every session of this DB
+	// executes parallel plan operators with (≥ 1).
 	workers int
 
 	mu     sync.Mutex
@@ -35,21 +36,23 @@ type DB struct {
 // DBOptions configures OpenDBOptions. The zero value matches OpenDB.
 type DBOptions struct {
 	// Workers is the degree of parallelism for this DB's queries:
-	// 1 forces sequential execution, 0 defers to the process default.
+	// 1 forces sequential execution, < 1 means GOMAXPROCS. Each query
+	// binds it when it pins its snapshot; it is never part of a plan,
+	// so DBs with different degrees share cached plans.
 	Workers int
 }
 
 // OpenDB wraps an existing store — in-memory or durable — as a DB.
 func OpenDB(st *storage.Store) *DB {
-	return &DB{store: st}
+	return OpenDBOptions(st, DBOptions{})
 }
 
 // OpenDBOptions is OpenDB with explicit options — the `-workers` flag
 // of the CLI, server and bench harness lands here.
 func OpenDBOptions(st *storage.Store, o DBOptions) *DB {
 	w := o.Workers
-	if w < 0 {
-		w = 0
+	if w < 1 {
+		w = runtime.GOMAXPROCS(0)
 	}
 	return &DB{store: st, workers: w}
 }
@@ -115,33 +118,18 @@ type Session struct {
 func (s *Session) DB() *DB { return s.db }
 
 // SetOptimize toggles the Section 5 law-based rewriter for this
-// session's queries. Off by default, matching engine.Run.
+// session's queries. Off by default.
 func (s *Session) SetOptimize(on bool) { s.optimize = on }
 
 // Optimize reports the session's rewriter setting.
 func (s *Session) Optimize() bool { return s.optimize }
 
-// withDBWorkers applies the DB's workers option to a query context;
-// contexts already carrying an explicit WithWorkers value keep it.
-func (s *Session) withDBWorkers(ctx context.Context) context.Context {
-	if s.db.workers < 1 {
-		return ctx
-	}
-	if n, ok := ctx.Value(workersCtxKey{}).(int); ok && n >= 1 {
-		return ctx
-	}
-	return WithWorkers(ctx, s.db.workers)
-}
-
-// Query parses, plans and executes src under ctx: cancellation and
-// deadlines abort mid-scan with ErrCanceled/ErrDeadline (see
-// RunContext). Results reflect one pinned snapshot of the store.
+// Query parses, plans and executes src under ctx, applying the
+// session's optimizer setting: cancellation and deadlines abort
+// mid-scan with ErrCanceled/ErrDeadline (see runQuery). Results
+// reflect one pinned snapshot of the store.
 func (s *Session) Query(ctx context.Context, src string) (hql.Result, error) {
-	ctx = s.withDBWorkers(ctx)
-	if s.optimize {
-		return hql.RunOptimizedContext(ctx, src, s.db.store)
-	}
-	return RunContext(ctx, src, s.db.store)
+	return runQuery(ctx, src, s.db.store, s.db.workers, s.optimize)
 }
 
 // Eval plans and executes an already-parsed expression, applying the
@@ -151,19 +139,23 @@ func (s *Session) Eval(ctx context.Context, e hql.Expr) (hql.Result, error) {
 	if s.optimize {
 		e, _ = hql.Optimize(e)
 	}
-	return EvalContext(s.withDBWorkers(ctx), e, s.db.store)
+	return evalExpr(ctx, e, s.db.store, s.db.workers)
 }
 
 // Explain renders the chosen physical plan without executing it,
 // honoring the session's optimizer setting.
 func (s *Session) Explain(src string) (string, error) {
-	return Explain(src, s.db.store, s.optimize)
+	return explainQuery(src, s.db.store, s.optimize)
 }
 
 // ExplainAnalyze executes src under ctx with per-operator profiling
 // and renders the annotated plan.
 func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	return ExplainAnalyzeContext(s.withDBWorkers(ctx), src, s.db.store, s.optimize)
+	a, err := analyzeQuery(ctx, src, s.db.store, s.optimize, s.db.workers)
+	if err != nil {
+		return "", err
+	}
+	return a.render(), nil
 }
 
 // BeginGroup opens a staged write group. ErrState if one is already

@@ -22,7 +22,7 @@ func sessionDB(t *testing.T) *DB {
 }
 
 // TestSessionQuery: the session entry point runs the same planned,
-// snapshot-pinned execution engine.Run does, with and without the
+// snapshot-pinned execution runQuery does, with and without the
 // session's optimizer toggle.
 func TestSessionQuery(t *testing.T) {
 	sess := sessionDB(t).NewSession()
@@ -40,6 +40,29 @@ func TestSessionQuery(t *testing.T) {
 	}
 	if !res.Relation.Equal(res2.Relation) {
 		t.Fatal("optimized query differs from plain")
+	}
+	// An optimized query caches only the rewritten expression's
+	// canonical form, never a source-text alias, and its parse errors
+	// are counted like any other query's.
+	q := `SELECT WHEN NAME = 'emp0003' FROM EMP`
+	if _, err := sess.Query(context.Background(), q); err != nil {
+		t.Fatalf("optimized query: %v", err)
+	}
+	e, err := hql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ = hql.Optimize(e)
+	st := sess.DB().Store()
+	if planCache.peek(srcCacheKey(q), st) || !planCache.peek(astCacheKey(e), st) {
+		t.Fatal("optimized query registered a source-text alias or no AST entry")
+	}
+	before := mQueries.Load()
+	if _, err := sess.Query(context.Background(), `SELECT garbage !!`); !errors.Is(err, hrdmerr.ErrParse) {
+		t.Fatalf("optimized parse error = %v, want ErrParse", err)
+	}
+	if got := mQueries.Load() - before; got != 1 {
+		t.Fatalf("optimized parse error counted %d queries, want 1", got)
 	}
 	if _, err := sess.Explain(`SELECT WHEN NAME = 'emp0002' FROM EMP`); err != nil {
 		t.Fatalf("explain: %v", err)

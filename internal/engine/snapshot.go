@@ -43,10 +43,10 @@ type Snapshot struct {
 	ctx   context.Context
 	pulls int
 	// workers is the degree of parallelism the query's parallel
-	// operators may use, resolved at pin time from the query context
-	// (WithWorkers) or the process default. It is execution state, not
-	// plan state: plans stay degree-agnostic so sessions with different
-	// settings share cached plans. 0/1 means sequential.
+	// operators may use, bound at pin time from the session's DB
+	// (DBOptions.Workers). It is execution state, not plan state: plans
+	// stay degree-agnostic so DBs with different settings share cached
+	// plans. 0/1 means sequential.
 	workers int
 }
 
@@ -95,7 +95,8 @@ func (s *Snapshot) checkCancel() error {
 // planning (or the cache's validity fence) and the pin, so the
 // plan-time constants — index candidate sets, WHEN sub-query
 // lifespans — may not describe the pinned state; the caller replans.
-func pinPlan(ctx context.Context, p *Plan) (*Snapshot, bool) {
+// workers is the degree the snapshot's parallel operators run with.
+func pinPlan(ctx context.Context, p *Plan, workers int) (*Snapshot, bool) {
 	rels := make([]*core.Relation, len(p.deps))
 	for i, d := range p.deps {
 		rels[i] = d.rel
@@ -103,7 +104,7 @@ func pinPlan(ctx context.Context, p *Plan) (*Snapshot, bool) {
 	epoch, vers := core.Pin(rels...)
 	s, ok := newSnapshot(p, epoch, vers)
 	s.attachCtx(ctx)
-	s.workers = workersFrom(ctx)
+	s.workers = workers
 	return s, ok
 }
 
@@ -123,7 +124,7 @@ func (s *Snapshot) attachCtx(ctx context.Context) {
 // keeps colliding with a continuous writer. Planning under the
 // exclusive lock is deadlock-free because blocked writers hold no
 // relation locks (they acquire the publish lock first).
-func pinPlanExclusive(ctx context.Context, compile func() (*Plan, error)) (*Plan, *Snapshot, error) {
+func pinPlanExclusive(ctx context.Context, workers int, compile func() (*Plan, error)) (*Plan, *Snapshot, error) {
 	var p *Plan
 	epoch, vers, err := core.PinAtomic(func() ([]*core.Relation, error) {
 		var cerr error
@@ -146,7 +147,7 @@ func pinPlanExclusive(ctx context.Context, compile func() (*Plan, error)) (*Plan
 		return nil, nil, fmt.Errorf("engine: snapshot raced planning under the publish lock")
 	}
 	snap.attachCtx(ctx)
-	snap.workers = workersFrom(ctx)
+	snap.workers = workers
 	return p, snap, nil
 }
 

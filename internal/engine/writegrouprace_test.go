@@ -15,7 +15,7 @@ import (
 // methodology from sequential batch writers to atomic write groups: a
 // writer commits one core.WriteGroup per round inserting the same keys
 // into relation A and relation B, while concurrent readers run
-// multi-relation plans through engine.Run. With sequential batches a
+// multi-relation plans through runQuery. With sequential batches a
 // reader may legitimately observe A ahead of B between publications;
 // with write groups that window must not exist:
 //
@@ -71,7 +71,7 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 120; i++ {
 				q := queries[(w+i)%len(queries)]
-				res, err := Run(q, st)
+				res, err := run(q, st)
 				if err != nil {
 					t.Errorf("%s: %v", q, err)
 					return
@@ -98,7 +98,7 @@ func TestWriteGroupAtomicityMultiRelation(t *testing.T) {
 	}
 
 	// Quiesced: both relations hold every group in full.
-	res, err := Run(`A MINUS B`, st)
+	res, err := run(`A MINUS B`, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,12 @@
 //	WHEN EMP                             -- Ω, yields a lifespan
 //	SNAPSHOT EMP AT 7                    -- classical snapshot
 //
-// Evaluation is snapshot-isolated on every path: the installed engine
-// hook pins a verified snapshot per plan, and EvalNaive — the
-// tree-walking reference evaluator and the planner's fallback — pins
-// its own consistent cut of every referenced relation (pinenv.go)
-// before walking, so even unplannable multi-relation queries read one
-// database state while writers race.
+// The package parses, rewrites (Optimize) and defines the meaning of a
+// query: EvalNaive, the tree-walking reference evaluator, is the
+// algebra's definitional semantics and the oracle the engine's planned
+// execution (internal/engine, reached through engine.Session) is
+// tested against. EvalNaive is snapshot-isolated like the engine: it
+// pins one consistent cut of every referenced relation (pinenv.go)
+// before walking, so even multi-relation queries read one database
+// state while writers race.
 package hql

@@ -65,9 +65,18 @@ func testEnv(t testing.TB) *storage.Store {
 	return st
 }
 
+// run parses src and evaluates it with the reference evaluator.
+func run(src string, env Env) (Result, error) {
+	e, err := Parse(src)
+	if err != nil {
+		return Result{}, err
+	}
+	return EvalNaive(e, env)
+}
+
 func runRel(t *testing.T, env Env, q string) *core.Relation {
 	t.Helper()
-	res, err := Run(q, env)
+	res, err := run(q, env)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -83,7 +92,7 @@ func TestRelName(t *testing.T) {
 	if r.Cardinality() != 2 {
 		t.Errorf("EMP = %d tuples", r.Cardinality())
 	}
-	if _, err := Run("NOPE", env); err == nil || !strings.Contains(err.Error(), "unknown relation") {
+	if _, err := run("NOPE", env); err == nil || !strings.Contains(err.Error(), "unknown relation") {
 		t.Errorf("unknown relation error missing: %v", err)
 	}
 }
@@ -162,7 +171,7 @@ func TestTimesliceQueries(t *testing.T) {
 
 func TestWhenQuery(t *testing.T) {
 	env := testEnv(t)
-	res, err := Run(`WHEN (SELECT WHEN SAL = 40000 FROM EMP)`, env)
+	res, err := run(`WHEN (SELECT WHEN SAL = 40000 FROM EMP)`, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +226,14 @@ func TestSetOpQueries(t *testing.T) {
 
 func TestSnapshotQuery(t *testing.T) {
 	env := testEnv(t)
-	res, err := Run(`SNAPSHOT EMP AT 7`, env)
+	res, err := run(`SNAPSHOT EMP AT 7`, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Snapshot == nil || res.Snapshot.Cardinality() != 2 {
 		t.Errorf("snapshot = %s", res)
 	}
-	res2, err := Run(`SNAPSHOT EMP AT @50`, env)
+	res2, err := run(`SNAPSHOT EMP AT @50`, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +264,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	env := testEnv(t)
 	for _, q := range bad {
-		if _, err := Run(q, env); err == nil {
+		if _, err := run(q, env); err == nil {
 			t.Errorf("query %q should fail to parse/evaluate", q)
 		}
 	}
@@ -274,7 +283,7 @@ func TestEvalErrors(t *testing.T) {
 		`EMP NATJOIN SHIP`,               // no shared attributes
 	}
 	for _, q := range bad {
-		if _, err := Run(q, env); err == nil {
+		if _, err := run(q, env); err == nil {
 			t.Errorf("query %q should fail evaluation", q)
 		}
 	}
@@ -319,7 +328,7 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	if r.Cardinality() != 1 {
 		t.Errorf("lower-case keywords: %d tuples", r.Cardinality())
 	}
-	if _, err := Run(`select when sal = 30000 from EMP`, env); err == nil {
+	if _, err := run(`select when sal = 30000 from EMP`, env); err == nil {
 		t.Error("attribute names must stay case-sensitive")
 	}
 }
@@ -389,10 +398,10 @@ func TestCompoundConditions(t *testing.T) {
 		t.Errorf("joint ∃ should be empty: %s", r5)
 	}
 	// Errors inside conditions propagate.
-	if _, err := Run(`SELECT WHEN NOPE = 3 OR SAL = 1 FROM EMP`, env); err == nil {
+	if _, err := run(`SELECT WHEN NOPE = 3 OR SAL = 1 FROM EMP`, env); err == nil {
 		t.Error("unknown attribute in OR must fail")
 	}
-	if _, err := Run(`SELECT WHEN SAL = 30000 AND FROM EMP`, env); err == nil {
+	if _, err := run(`SELECT WHEN SAL = 30000 AND FROM EMP`, env); err == nil {
 		t.Error("dangling AND must fail")
 	}
 	// Round-trip printing of compound conditions.

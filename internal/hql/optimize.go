@@ -1,10 +1,6 @@
 package hql
 
-import (
-	"context"
-
-	"repro/internal/lifespan"
-)
+import "repro/internal/lifespan"
 
 // Optimize rewrites a parsed query using the algebraic laws of the
 // paper's Section 5, each of which is property-verified in
@@ -104,20 +100,4 @@ func rewrite(e Expr, n *int) Expr {
 	default:
 		return e
 	}
-}
-
-// RunOptimized parses, optimizes, and evaluates a query.
-func RunOptimized(src string, env Env) (Result, error) {
-	return RunOptimizedContext(context.Background(), src, env)
-}
-
-// RunOptimizedContext parses, optimizes, and evaluates a query under a
-// context (see RunContext for the cancellation contract).
-func RunOptimizedContext(ctx context.Context, src string, env Env) (Result, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return Result{}, err
-	}
-	e, _ = Optimize(e)
-	return EvalContext(ctx, e, env)
 }

@@ -85,11 +85,16 @@ func TestOptimizePreservesResults(t *testing.T) {
 		`WHEN (TIMESLICE (SELECT WHEN SAL = 40000 FROM EMP) AT {[0,10]})`,
 	}
 	for _, q := range queries {
-		plain, err := Run(q, env)
+		plain, err := run(q, env)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
-		opt, err := RunOptimized(q, env)
+		e, err := Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		e, _ = Optimize(e)
+		opt, err := EvalNaive(e, env)
 		if err != nil {
 			t.Fatalf("optimized query %q: %v", q, err)
 		}

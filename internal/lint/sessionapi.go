@@ -4,43 +4,19 @@ import (
 	"go/ast"
 )
 
-const (
-	hqlPkg    = "repro/internal/hql"
-	enginePkg = "repro/internal/engine"
-)
-
-// sessionBypass lists, per package, the query entry points that bypass
-// the Session API: package-level functions that take a bare hql.Env
-// (in practice a *storage.Store) and execute a query against it.
-// Commands are supposed to open an engine.DB once and route every
-// query through a Session — which owns the optimizer toggle, threads a
-// context, and returns classified errors — so these stay legal inside
-// the engine itself but not in cmd/.
-var sessionBypass = map[string]map[string]bool{
-	hqlPkg: {
-		"Run": true, "RunContext": true,
-		"RunOptimized": true, "RunOptimizedContext": true,
-		"Eval": true, "EvalContext": true,
-		"EvalNaive": true, "EvalNaiveContext": true,
-	},
-	enginePkg: {
-		"Run": true, "RunContext": true,
-		"Eval": true, "EvalContext": true,
-		"Explain":        true,
-		"ExplainAnalyze": true, "ExplainAnalyzeContext": true,
-	},
-}
+const hqlPkg = "repro/internal/hql"
 
 // Sessionapi keeps commands on the Session API: code under cmd/ must
-// not call the env-taking query entry points of hql or engine directly.
-// A command that pokes a store into hql.Run sidesteps the session's
-// optimizer setting, context threading and error classification, and
-// regresses the cmd/ layer to the pre-server implicit-global idiom.
-// Deliberate exceptions (a benchmark measuring the naive evaluator as
-// its baseline) carry a //lint:allow sessionapi annotation.
+// not call hql.EvalNaive or hql.EvalNaiveContext, the only env-taking
+// query entry points left outside engine.Session. A command that pokes
+// a store into the naive evaluator sidesteps the engine's plans, the
+// session's optimizer setting and the engine's metrics, and regresses
+// the cmd/ layer to the pre-server implicit-global idiom. Deliberate
+// exceptions (a benchmark measuring the naive evaluator as its
+// baseline) carry a //lint:allow sessionapi annotation.
 var Sessionapi = &Analyzer{
 	Name:  "sessionapi",
-	Doc:   "cmd/ runs queries through engine.Session, not the env-taking hql/engine entry points",
+	Doc:   "cmd/ runs queries through engine.Session, not hql.EvalNaive[Context]",
 	Scope: []string{"repro/cmd"},
 	Run: func(pass *Pass) error {
 		info := pass.Info()
@@ -51,13 +27,10 @@ var Sessionapi = &Analyzer{
 					return true
 				}
 				fn := calleeFunc(info, call)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				if names := sessionBypass[fn.Pkg().Path()]; names[fn.Name()] && isPkgFunc(fn, fn.Pkg().Path(), fn.Name()) {
+				if isPkgFunc(fn, hqlPkg, "EvalNaive") || isPkgFunc(fn, hqlPkg, "EvalNaiveContext") {
 					pass.Reportf(call.Pos(),
-						"%s.%s bypasses the Session API; open an engine.DB and call the Session method instead (see docs/SERVER.md)",
-						fn.Pkg().Name(), fn.Name())
+						"hql.%s bypasses the Session API; open an engine.DB and call the Session method instead (see docs/SERVER.md)",
+						fn.Name())
 				}
 				return true
 			})

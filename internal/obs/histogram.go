@@ -78,7 +78,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) of the observed
 // values: the bucket holding the ⌈q·count⌉-th smallest observation,
-// linearly interpolated by rank within the bucket. Returns 0 when
+// linearly interpolated by rank within the bucket, whose upper bound
+// is clamped to the observed max. Returns 0 when
 // empty. Concurrent observations make the estimate approximate, never
 // panic.
 func (h *Histogram) Quantile(q float64) int64 {
@@ -104,14 +105,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 		if cum+c >= rank {
 			lo, hi := bucketBounds(k)
-			if k == histBuckets-1 {
-				// Open-ended overflow bucket: the max is the only honest
-				// upper bound.
-				if m := h.max.Load(); m > lo {
-					hi = m
-				} else {
-					hi = lo
-				}
+			// No estimate may exceed the observed max, which is also the
+			// only honest upper bound of the open-ended overflow bucket.
+			if m := h.max.Load(); m < hi {
+				hi = max(m, lo)
 			}
 			// Interpolate by rank position within the bucket.
 			frac := float64(rank-cum) / float64(c)

@@ -39,7 +39,8 @@ func TestHistogramBuckets(t *testing.T) {
 // for: for any non-empty observation set, the estimated quantile lands
 // in the same power-of-two bucket as the exact quantile — the
 // histogram's resolution guarantee (within 2× above bucket zero) —
-// and estimates are monotone in q.
+// estimates are monotone in q, and no estimate exceeds the observed
+// max.
 func TestQuantileProperty(t *testing.T) {
 	prop := func(raw []uint32, q16 uint16) bool {
 		if len(raw) == 0 {
@@ -64,12 +65,18 @@ func TestQuantileProperty(t *testing.T) {
 				q, exact, bucketOf(exact), est, bucketOf(est), vals)
 			return false
 		}
-		// Monotonicity across a few probe points.
+		// Monotonicity across a few probe points, and no estimate above
+		// the observed max.
+		maxV := vals[len(vals)-1]
+		if est > maxV {
+			t.Logf("q=%v est=%d above max %d", q, est, maxV)
+			return false
+		}
 		prev := int64(-1)
-		for _, qq := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
+		for _, qq := range []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1} {
 			e := h.Quantile(qq)
-			if e < prev {
-				t.Logf("quantile not monotone at q=%v: %d < %d", qq, e, prev)
+			if e < prev || e > maxV {
+				t.Logf("q=%v: estimate %d, previous %d, max %d", qq, e, prev, maxV)
 				return false
 			}
 			prev = e

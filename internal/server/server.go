@@ -187,7 +187,7 @@ func (s *Server) serveConn(c net.Conn) {
 	sess := s.db.NewSession()
 	defer sess.Abort() // discard a stray staged group on disconnect
 	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, maxRequestLine), maxRequestLine)
 	for !s.draining.Load() && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -205,10 +205,21 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		}
 	}
-	// Scanner errors (including the read deadline a drain sets to wake
-	// idle readers) and client EOF both land here; the deferred close
-	// finishes the conversation.
+	// A line past the buffer stops the scanner for good: answer it with
+	// a typed error instead of dropping the connection without a reply.
+	// Other scanner errors (including the read deadline a drain sets to
+	// wake idle readers) and client EOF just end the conversation; the
+	// deferred close finishes it.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		mRequests.Inc()
+		// The connection closes either way; a failed write changes nothing.
+		_ = writeResponse(c, errResponse(hrdmerr.New(hrdmerr.CodeBadRequest,
+			"request line exceeds %d bytes", maxRequestLine)))
+	}
 }
+
+// maxRequestLine bounds one request line, its newline included.
+const maxRequestLine = 1 << 20
 
 // handle executes one request against the connection's session.
 // Engine-bound ops (query, explain, commit) pass admission control

@@ -164,6 +164,35 @@ func TestServerProtocol(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestLine: a request line at the scanner's limit is
+// served, and one just over it gets a typed bad_request reply before
+// the server closes the connection — never a silent drop.
+func TestOversizedRequestLine(t *testing.T) {
+	srv := startServer(t, Config{})
+	tc := dialT(t, srv.Addr())
+
+	ping := `{"op":"ping"}`
+	atLimit := ping + strings.Repeat(" ", maxRequestLine-1-len(ping)) + "\n"
+	if _, err := tc.c.Write([]byte(atLimit)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := tc.recv(t); !resp.OK || resp.Result != "pong" {
+		t.Fatalf("%d-byte line = %+v, want pong", len(atLimit), resp)
+	}
+
+	over := `{"op":"query","q":"` + strings.Repeat("x", maxRequestLine+1) + `"}` + "\n"
+	if _, err := tc.c.Write([]byte(over)); err != nil {
+		t.Fatal(err)
+	}
+	resp := tc.recv(t)
+	if resp.OK || resp.Error == nil || resp.Error.Code != int(hrdmerr.CodeBadRequest) {
+		t.Fatalf("%d-byte line = %+v, want bad_request", len(over), resp)
+	}
+	if _, err := tc.r.ReadString('\n'); err == nil {
+		t.Fatal("connection still open after an oversized line")
+	}
+}
+
 // TestAdmissionInflight: with one inflight slot held, the next query is
 // rejected immediately with the typed overloaded error — and succeeds
 // once the slot frees.
@@ -308,13 +337,19 @@ func TestDrainDeadlineForcesCancel(t *testing.T) {
 // TestConcurrentClientsConsistency is the acceptance race test: 64
 // client connections issue a query spanning two relations while a
 // writer commits cross-relation write groups through the session API.
-// Every group inserts one tuple into each relation, so any consistent
-// cut has equal cardinalities — a torn read (group half-visible)
-// surfaces as an odd UNIONMERGE count. Run under -race in CI.
+// Group i stages ID 2i into A and ID 2i+1 into B — distinct keys, so
+// A UNIONMERGE B merges nothing and a consistent cut after n groups
+// has exactly 2n rows. A torn read (group half-visible) has 2n+1: the
+// detector is an odd row count. Readers span the writer by
+// construction — every client reads once before the first commit and
+// once after the last, and the writer waits for a completed read
+// between consecutive commits — so the test must observe at least two
+// distinct cardinalities or it raced nothing. A deterministic negative
+// control then feeds the detector a split cut (A read, one group
+// committed, B read) and requires it to fire. Run under -race in CI.
 func TestConcurrentClientsConsistency(t *testing.T) {
 	const (
 		clients = 64
-		queries = 20
 		groups  = 200
 	)
 	full := lifespan.Interval(0, 999)
@@ -324,9 +359,8 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 		))
 	}
 	st := storage.NewStore()
-	a, b := mkRel("A"), mkRel("B")
-	st.Put(a)
-	st.Put(b)
+	st.Put(mkRel("A"))
+	st.Put(mkRel("B"))
 	db := engine.OpenDB(st)
 	srv := New(db, Config{MaxConns: clients + 8, MaxInflight: clients + 8})
 	if err := srv.Start(); err != nil {
@@ -340,84 +374,155 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 		}
 	}()
 
-	stop := make(chan struct{})
-	writerDone := make(chan error, 1)
-	go func() {
-		sess := db.NewSession()
-		for i := 0; i < groups; i++ {
-			select {
-			case <-stop:
-				writerDone <- nil
-				return
-			default:
-			}
-			if err := sess.BeginGroup(); err != nil {
-				writerDone <- err
-				return
-			}
-			spec := fmt.Sprintf(`tuple {[0,9]}; ID = %d @ {[0,9]}`, i)
-			if _, err := sess.Stage("A", spec); err != nil {
-				writerDone <- err
-				return
-			}
-			if _, err := sess.Stage("B", spec); err != nil {
-				writerDone <- err
-				return
-			}
-			if _, err := sess.Commit(context.Background()); err != nil {
-				writerDone <- err
-				return
-			}
+	torn := func(rows int) bool { return rows%2 != 0 }
+	writer := db.NewSession()
+	commitGroup := func(i int) error {
+		if err := writer.BeginGroup(); err != nil {
+			return err
 		}
-		writerDone <- nil
-	}()
+		if _, err := writer.Stage("A", fmt.Sprintf(`tuple {[0,9]}; ID = %d @ {[0,9]}`, 2*i)); err != nil {
+			return err
+		}
+		if _, err := writer.Stage("B", fmt.Sprintf(`tuple {[0,9]}; ID = %d @ {[0,9]}`, 2*i+1)); err != nil {
+			return err
+		}
+		_, err := writer.Commit(context.Background())
+		return err
+	}
 
-	var torn atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		reads, tornReads atomic.Int64
+		seenMu           sync.Mutex
+		seen             = map[int]bool{}
+		ready, wg        sync.WaitGroup
+		writerDone       = make(chan struct{})
+	)
+	ready.Add(clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+			signaled := false
+			defer func() {
+				if !signaled {
+					ready.Done()
+				}
+			}()
+			c, err := dialQuery(srv.Addr())
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
 			}
-			defer c.Close()
-			tc := &tclient{c: c, r: bufio.NewReaderSize(c, 1<<20)}
-			for q := 0; q < queries; q++ {
-				buf, _ := json.Marshal(request{Op: "query", Q: `A UNIONMERGE B`})
-				if _, err := c.Write(append(buf, '\n')); err != nil {
-					t.Errorf("write: %v", err)
-					return
+			defer c.c.Close()
+			for {
+				var last bool
+				select {
+				case <-writerDone:
+					last = true // this read starts after the final commit
+				default:
 				}
-				c.SetReadDeadline(time.Now().Add(30 * time.Second))
-				line, err := tc.r.ReadString('\n')
+				rows, err := c.query(`A UNIONMERGE B`)
 				if err != nil {
-					t.Errorf("read: %v", err)
+					t.Errorf("query: %v", err)
 					return
 				}
-				var resp response
-				if err := json.Unmarshal([]byte(line), &resp); err != nil {
-					t.Errorf("unmarshal: %v", err)
-					return
+				reads.Add(1)
+				if torn(rows) {
+					tornReads.Add(1)
 				}
-				if !resp.OK {
-					t.Errorf("query failed: %+v", resp.Error)
-					return
+				seenMu.Lock()
+				seen[rows] = true
+				seenMu.Unlock()
+				if !signaled {
+					signaled = true
+					ready.Done() // first read finished before any commit
 				}
-				if resp.Rows%2 != 0 {
-					torn.Add(1)
+				if last {
+					return
 				}
 			}
 		}()
 	}
-	wg.Wait()
-	close(stop)
-	if err := <-writerDone; err != nil {
-		t.Fatalf("writer: %v", err)
+
+	ready.Wait()
+	var writerErr error
+	for i := 0; i < groups && writerErr == nil; i++ {
+		before := reads.Load()
+		if writerErr = commitGroup(i); writerErr != nil {
+			break
+		}
+		// Hand the readers the new state before the next commit.
+		for deadline := time.Now().Add(10 * time.Second); reads.Load() == before; {
+			if time.Now().After(deadline) {
+				writerErr = fmt.Errorf("no read completed after commit %d", i)
+				break
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
 	}
-	if n := torn.Load(); n != 0 {
+	close(writerDone)
+	wg.Wait()
+	if writerErr != nil {
+		t.Fatalf("writer: %v", writerErr)
+	}
+	if n := tornReads.Load(); n != 0 {
 		t.Fatalf("%d torn reads (odd cross-relation cardinality) — snapshot isolation violated", n)
 	}
+	if len(seen) < 2 {
+		t.Fatalf("readers saw %d distinct cardinalities, want >= 2: the reads raced no commit", len(seen))
+	}
+
+	// Negative control: a cut split across a commit — A before group
+	// `groups`, B after it — must trip the same detector.
+	c, err := dialQuery(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.c.Close()
+	rowsA, err := c.query(`A`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := commitGroup(groups); err != nil {
+		t.Fatal(err)
+	}
+	rowsB, err := c.query(`B`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !torn(rowsA + rowsB) {
+		t.Fatalf("split cut A=%d + B=%d rows not flagged as torn: the detector is not live", rowsA, rowsB)
+	}
+}
+
+// dialQuery connects a goroutine-safe query client (errors are
+// returned, never t.Fatal'd).
+func dialQuery(addr string) (*tclient, error) {
+	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	return &tclient{c: c, r: bufio.NewReaderSize(c, 1<<20)}, nil
+}
+
+// query runs one HQL query over the connection and returns the result's
+// row count.
+func (tc *tclient) query(q string) (int, error) {
+	buf, _ := json.Marshal(request{Op: "query", Q: q})
+	if _, err := tc.c.Write(append(buf, '\n')); err != nil {
+		return 0, err
+	}
+	tc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
+	line, err := tc.r.ReadString('\n')
+	if err != nil {
+		return 0, err
+	}
+	var resp response
+	if err := json.Unmarshal([]byte(line), &resp); err != nil {
+		return 0, err
+	}
+	if !resp.OK {
+		return 0, fmt.Errorf("query %q failed: %+v", q, resp.Error)
+	}
+	return resp.Rows, nil
 }
