@@ -1,40 +1,68 @@
 package core
 
-import "sync/atomic"
+import "errors"
 
-// CommitHook observes a validated write group just before it is
-// applied. It runs inside Commit's critical section — the publish lock
-// held shared, every touched relation's mutex held — after phase-1
-// validation has succeeded and before anything mutates. Returning an
-// error aborts the commit with nothing applied anywhere, exactly like
-// a validation failure; returning nil lets the apply proceed.
+// GroupLogger makes a validated write group durable just before it is
+// applied. WriteGroup.Commit calls LogGroup inside its critical
+// section — the publish lock held shared, every touched relation's
+// mutex held — after phase-1 validation has succeeded and before
+// anything mutates. Returning an error aborts the commit with nothing
+// applied anywhere, exactly like a validation failure; returning nil
+// lets the apply proceed.
 //
-// This is the seam the storage layer's write-ahead log hangs off: the
-// hook serializes and fsyncs the group while the locks guarantee that
-// (a) no Pin can interleave between the log append and the in-memory
-// apply, and (b) groups touching a common relation reach the log in
-// apply order. Core itself stays storage-agnostic.
+// Each relation names its own logger (SetLogger); the storage layer's
+// durable store sets itself on the relations it owns, so core stays
+// storage-agnostic. Holding the locks guarantees that (a) no Pin can
+// interleave between the log append and the in-memory apply, and (b)
+// groups touching a common relation reach the log in apply order.
 //
-// A hook must not stage into or commit write groups, pin, or otherwise
-// take publish/relation locks — it already holds them.
-type CommitHook func(*WriteGroup) error
+// The group LogGroup receives holds only the ops of the relations the
+// logger owns. Commit compares loggers with ==, so an implementation
+// must be comparable (a pointer type, in practice). A logger must not
+// stage into or commit write groups, pin, or otherwise take
+// publish/relation locks — it already holds them.
+type GroupLogger interface {
+	LogGroup(g *WriteGroup) error
+}
 
-var commitHook atomic.Pointer[CommitHook]
+// errTwoLoggers refuses a group whose relations name two different
+// loggers: logging half of it into each would let a crash between the
+// two appends recover one log with a group the other never saw.
+var errTwoLoggers = errors.New("core: write group spans relations with different loggers")
 
-// SetCommitHook installs h as the process-wide commit hook and returns
-// the previously installed hook (nil if none), so tests can restore
-// it. Pass nil to uninstall.
-func SetCommitHook(h CommitHook) CommitHook {
-	var old *CommitHook
-	if h == nil {
-		old = commitHook.Swap(nil)
-	} else {
-		old = commitHook.Swap(&h)
+// SetLogger makes l the logger of r's write-group commits; nil stops
+// logging them. Direct Insert/InsertMerging/InsertBatch calls are
+// never logged.
+func (r *Relation) SetLogger(l GroupLogger) {
+	r.mu.Lock()
+	r.logger = l
+	r.mu.Unlock()
+}
+
+// logLocked hands the group's logged part to its one logger, if any.
+// The caller holds every touched relation's mutex.
+func (g *WriteGroup) logLocked() error {
+	var lg GroupLogger
+	for _, r := range g.order {
+		switch {
+		case r.logger == nil || r.logger == lg:
+		case lg == nil:
+			lg = r.logger
+		default:
+			return errTwoLoggers
+		}
 	}
-	if old == nil {
+	if lg == nil {
 		return nil
 	}
-	return *old
+	part := &WriteGroup{ops: make(map[*Relation][]groupOp)}
+	for _, r := range g.order {
+		if r.logger == lg {
+			part.order = append(part.order, r)
+			part.ops[r] = g.ops[r]
+		}
+	}
+	return lg.LogGroup(part)
 }
 
 // Ops walks the staged mutations in staging order grouped by relation
@@ -48,7 +76,3 @@ func (g *WriteGroup) Ops(fn func(r *Relation, t *Tuple, merging bool)) {
 		}
 	}
 }
-
-// Rels returns the distinct relations the group touches, in staging
-// order. The slice is the group's own — callers must not mutate it.
-func (g *WriteGroup) Rels() []*Relation { return g.order }

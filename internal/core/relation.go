@@ -70,6 +70,9 @@ type Relation struct {
 	// positions are append-stable, so the live map answers exactly for
 	// every older version). Views reject mutation.
 	origin *Relation
+	// logger, guarded by mu, makes this relation's write-group commits
+	// durable (see GroupLogger); nil for unlogged relations.
+	logger GroupLogger
 }
 
 // ChangeKind discriminates the two mutations a relation supports.

@@ -185,16 +185,14 @@ func (g *WriteGroup) Commit() error {
 		applies = append(applies, ap)
 	}
 
-	// Between validation and apply, the commit hook gets one shot at
-	// making the group durable (see CommitHook). It runs with every
+	// Between validation and apply, the relations' logger gets one shot
+	// at making the group durable (see GroupLogger). It runs with every
 	// lock still held, so a failure aborts with nothing applied and no
 	// snapshot can have observed the group.
-	if hp := commitHook.Load(); hp != nil {
-		if err := (*hp)(g); err != nil {
-			unlockAll()
-			mGroupAborts.Inc()
-			return err
-		}
+	if err := g.logLocked(); err != nil {
+		unlockAll()
+		mGroupAborts.Inc()
+		return err
 	}
 
 	// Phase 2 — apply; nothing below can fail.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"sync/atomic"
@@ -17,16 +18,20 @@ const histBuckets = 48
 // Histogram is a bounded exponential-bucket histogram over non-negative
 // int64 values (by convention nanoseconds for metrics named *_ns).
 // Observe is lock-free: one bit-length computation plus three atomic
-// adds (plus a CAS loop only when a new maximum is set). Quantile
-// estimates carry bucket resolution: the estimate always lands in the
-// same power-of-two bucket as the true quantile, so it is within a
-// factor of two — the property test in histogram_test.go locks this.
+// adds (plus a CAS loop only when a new minimum or maximum is set).
+// Quantile estimates carry bucket resolution: the estimate always
+// lands in the same power-of-two bucket as the true quantile, so it is
+// within a factor of two — the property test in histogram_test.go
+// locks this.
 // The zero value is ready to use.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Int64
 	max    atomic.Int64
+	// minGap holds MaxInt64 minus the smallest observation, so the zero
+	// value means "none yet" and a new minimum raises it like max.
+	minGap atomic.Int64
 }
 
 // bucketOf maps a value to its bucket index.
@@ -62,9 +67,15 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	raise(&h.max, v)
+	raise(&h.minGap, math.MaxInt64-v)
+}
+
+// raise moves a up to v if v is larger.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
+		m := a.Load()
+		if v <= m || a.CompareAndSwap(m, v) {
 			return
 		}
 	}
@@ -78,10 +89,9 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) of the observed
 // values: the bucket holding the ⌈q·count⌉-th smallest observation,
-// linearly interpolated by rank within the bucket, whose upper bound
-// is clamped to the observed max. Returns 0 when
-// empty. Concurrent observations make the estimate approximate, never
-// panic.
+// linearly interpolated by rank within the bucket, whose bounds are
+// clamped to the observed min and max. Returns 0 when empty.
+// Concurrent observations make the estimate approximate, never panic.
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
@@ -105,8 +115,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 		if cum+c >= rank {
 			lo, hi := bucketBounds(k)
-			// No estimate may exceed the observed max, which is also the
-			// only honest upper bound of the open-ended overflow bucket.
+			// No estimate may fall below the observed min or exceed the
+			// observed max, which is also the only honest upper bound of
+			// the open-ended overflow bucket. (Capping lo at hi keeps a
+			// racing Observe that has not yet stored its min harmless.)
+			lo = min(max(lo, math.MaxInt64-h.minGap.Load()), hi)
 			if m := h.max.Load(); m < hi {
 				hi = max(m, lo)
 			}
@@ -127,6 +140,7 @@ func (h *Histogram) Reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
+	h.minGap.Store(0)
 }
 
 // HistogramSnapshot is the JSON form of a histogram: observation count,

@@ -65,18 +65,18 @@ func TestQuantileProperty(t *testing.T) {
 				q, exact, bucketOf(exact), est, bucketOf(est), vals)
 			return false
 		}
-		// Monotonicity across a few probe points, and no estimate above
-		// the observed max.
-		maxV := vals[len(vals)-1]
-		if est > maxV {
-			t.Logf("q=%v est=%d above max %d", q, est, maxV)
+		// Monotonicity across a few probe points, and every estimate
+		// within the observed [min, max].
+		minV, maxV := vals[0], vals[len(vals)-1]
+		if est < minV || est > maxV {
+			t.Logf("q=%v est=%d outside [%d, %d]", q, est, minV, maxV)
 			return false
 		}
 		prev := int64(-1)
-		for _, qq := range []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1} {
+		for _, qq := range []float64{0.001, 0.1, 0.5, 0.9, 0.95, 0.99, 1} {
 			e := h.Quantile(qq)
-			if e < prev || e > maxV {
-				t.Logf("q=%v: estimate %d, previous %d, max %d", qq, e, prev, maxV)
+			if e < prev || e < minV || e > maxV {
+				t.Logf("q=%v: estimate %d, previous %d, range [%d, %d]", qq, e, prev, minV, maxV)
 				return false
 			}
 			prev = e
@@ -89,7 +89,8 @@ func TestQuantileProperty(t *testing.T) {
 }
 
 // TestQuantileEmptyAndClamp covers the edges: empty histogram, q
-// outside (0,1], overflow bucket interpolation bounded by the max.
+// outside (0,1], overflow bucket interpolation bounded by the max, a
+// constant series reported exactly, and Reset forgetting the min.
 func TestQuantileEmptyAndClamp(t *testing.T) {
 	h := &Histogram{}
 	if h.Quantile(0.5) != 0 {
@@ -102,6 +103,22 @@ func TestQuantileEmptyAndClamp(t *testing.T) {
 	}
 	if h.Quantile(-1) != h.Quantile(0.0000001) {
 		t.Fatal("q clamping broken")
+	}
+
+	h.Reset()
+	for i := 0; i < 100; i++ {
+		h.Observe(1000)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
+		if got := h.Quantile(q); got != 1000 {
+			t.Fatalf("100×1000: Quantile(%v) = %d, want 1000", q, got)
+		}
+	}
+	// After Reset the old min (1000) no longer bounds the estimate.
+	h.Reset()
+	h.Observe(600)
+	if got := h.Quantile(0.5); got != 600 {
+		t.Fatalf("after Reset, 1×600: Quantile(0.5) = %d, want 600", got)
 	}
 }
 

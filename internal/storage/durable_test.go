@@ -361,7 +361,7 @@ func TestMergeStoreDurable(t *testing.T) {
 }
 
 // TestDirectInsertsDurableAtCheckpoint documents the WAL's scope:
-// direct Relation inserts bypass the commit hook and become durable
+// direct Relation inserts bypass the store's logger and become durable
 // only at the next checkpoint.
 func TestDirectInsertsDurableAtCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -392,7 +392,7 @@ func TestDirectInsertsDurableAtCheckpoint(t *testing.T) {
 
 // TestWriteGroupSpanningTwoDurableStoresRefused: logging half a group
 // into each store would break the committed-prefix invariant on a
-// crash between the appends, so the hook refuses outright.
+// crash between the appends, so Commit refuses outright.
 func TestWriteGroupSpanningTwoDurableStoresRefused(t *testing.T) {
 	st1, _ := openDurableT(t, t.TempDir())
 	st2, _ := openDurableT(t, t.TempDir())

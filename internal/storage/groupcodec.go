@@ -26,11 +26,10 @@ import (
 // groupOpFlagMerging marks an op staged with InsertMerging semantics.
 const groupOpFlagMerging = 1
 
-// encodeGroupPayload serializes the ops of g whose relation satisfies
-// belongs. It returns nil (no error) when no staged op belongs. The
-// staged tuples are reachable only through the group — pre-apply, under
-// the commit locks — so this read path needs no pin.
-func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) ([]byte, error) {
+// encodeGroupPayload serializes the ops of g. The staged tuples are
+// reachable only through the group — pre-apply, under the commit locks
+// — so this read path needs no pin.
+func encodeGroupPayload(g *core.WriteGroup) ([]byte, error) {
 	type stagedOp struct {
 		t       *core.Tuple
 		merging bool
@@ -38,17 +37,11 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 	var rels []*core.Relation
 	byRel := make(map[*core.Relation][]stagedOp)
 	g.Ops(func(r *core.Relation, t *core.Tuple, merging bool) {
-		if !belongs(r) {
-			return
-		}
 		if _, ok := byRel[r]; !ok {
 			rels = append(rels, r)
 		}
 		byRel[r] = append(byRel[r], stagedOp{t: t, merging: merging})
 	})
-	if len(rels) == 0 {
-		return nil, nil
-	}
 	var buf bytes.Buffer
 	w := &errWriter{w: &buf}
 	w.u32(uint32(len(rels)))
@@ -79,8 +72,8 @@ func encodeGroupPayload(g *core.WriteGroup, belongs func(*core.Relation) bool) (
 // write group: ops land on the store's existing relations by name, and
 // a relation the snapshot doesn't know is rebuilt from the record's
 // scheme and registered after the commit. Returns the number of tuples
-// staged. The caller runs with s.replaying set, so the commit hook
-// does not re-log the group.
+// staged. OpenDurable replays before it attaches any logger, so the
+// re-executed group is not logged again.
 func (s *Store) applyGroupPayload(payload []byte) (int, error) {
 	r := &errReader{r: bytes.NewReader(payload)}
 	nRels := r.count()

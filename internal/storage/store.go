@@ -39,15 +39,15 @@ type Store struct {
 	rels map[string]*core.Relation
 
 	// Durable-mode state (nil/zero for plain in-memory stores). log is
-	// set once by OpenDurable and never reset to nil — after Close, a
-	// racing commit hook fails on the closed log instead of dereferencing
-	// nil. lsn is the WAL sequence number the in-memory state is
-	// consistent through; it moves under the publish lock's shared side
-	// (commit hook) and is read exactly under its exclusive side (pinAll).
-	dir       string
-	log       *wal.Log
-	lsn       atomic.Uint64
-	replaying atomic.Bool
+	// set once by OpenDurable, after replay, and never reset to nil —
+	// after Close, a racing LogGroup fails on the closed log instead of
+	// dereferencing nil. lsn is the WAL sequence number the in-memory
+	// state is consistent through; it moves under the publish lock's
+	// shared side (LogGroup) and is read exactly under its exclusive
+	// side (pinAll).
+	dir string
+	log *wal.Log
+	lsn atomic.Uint64
 }
 
 // NewStore returns an empty store.
@@ -58,8 +58,8 @@ func NewStore() *Store {
 // Put registers (or replaces) a relation under its scheme name. A
 // stored relation is shared database state: it is marked published so
 // every later mutation participates in the epoch/snapshot protocol
-// (see core.Pin). On a durable store the relation is also tracked for
-// write-ahead logging (and a replaced relation untracked).
+// (see core.Pin). On a durable store the store becomes the relation's
+// logger (and a replaced relation stops being logged).
 func (s *Store) Put(r *core.Relation) {
 	r.MarkPublished()
 	s.mu.Lock()
@@ -69,10 +69,21 @@ func (s *Store) Put(r *core.Relation) {
 	s.mu.Unlock()
 	if s.log != nil {
 		if old != nil && old != r {
-			durableByRel.Delete(old)
+			old.SetLogger(nil)
 		}
-		durableByRel.Store(r, s)
+		r.SetLogger(s)
 	}
+}
+
+// relations returns the stored relations, in no particular order.
+func (s *Store) relations() []*core.Relation {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rels := make([]*core.Relation, 0, len(s.rels))
+	for _, r := range s.rels {
+		rels = append(rels, r)
+	}
+	return rels
 }
 
 // Get returns the named relation.
@@ -97,7 +108,7 @@ func (s *Store) Names() []string {
 
 // pinnedStore is one consistent cut of the whole store: every relation
 // pinned in a single core.PinAtomic, plus the WAL sequence number the
-// cut is consistent through. Because the commit hook appends to the
+// cut is consistent through. Because LogGroup appends to the
 // log and advances lsn under the shared side of the publish lock, and
 // the pin holds its exclusive side, the LSN read here matches the
 // pinned tuple state exactly — no group is half in.
@@ -288,13 +299,14 @@ func (s *Store) MergeStore(src *Store) error {
 			g.InsertBatch(nr, sv.Tuples())
 		}
 	}
-	// A durable store must know the fresh relations before the commit
-	// hook fires, or their ops would miss the WAL.
-	s.trackRelations(fresh)
+	// On a durable store the fresh relations need their logger before
+	// the commit, or their ops would miss the WAL.
+	if s.log != nil {
+		setLoggers(fresh, s)
+	}
 	if err := g.Commit(); err != nil {
 		// Nothing was applied to s; the unregistered fresh relations are
 		// simply dropped.
-		s.untrackRelations(fresh)
 		return fmt.Errorf("storage: merge: %w", err)
 	}
 	for _, nr := range fresh {
@@ -314,13 +326,7 @@ func (s *Store) RebuildIndexes() {
 	}
 	// Snapshot the relation set first: index building takes catalog and
 	// relation locks, which should not nest inside the store's.
-	s.mu.RLock()
-	rels := make([]*core.Relation, 0, len(s.rels))
-	for _, r := range s.rels {
-		rels = append(rels, r)
-	}
-	s.mu.RUnlock()
-	for _, r := range rels {
+	for _, r := range s.relations() {
 		IndexBuilder(r)
 	}
 }
